@@ -10,7 +10,8 @@
 //! Run: `cargo run --release -p sg-bench --bin fig8_distributed_sampling`
 
 use sg_bench::{json_requested, render_json, render_table, BenchRecord};
-use sg_dist::distributed_uniform_sample;
+use sg_core::scheme::Uniform;
+use sg_dist::distributed_compress;
 use sg_graph::generators;
 use sg_graph::properties::DegreeDistribution;
 
@@ -41,7 +42,7 @@ fn main() {
             format!("{}", orig.support_size()),
         ];
         for p in [0.4, 0.7] {
-            let dist = distributed_uniform_sample(&g, p, ranks, seed);
+            let dist = distributed_compress(&g, &Uniform { p }, ranks, seed).expect("edge plan");
             let hist_support = dist.degree_histogram.len();
             row.push(format!("{hist_support}"));
             records.push(BenchRecord {

@@ -13,7 +13,8 @@ use crate::kernel::{
 };
 use crate::mapping::VertexMapping;
 use rayon::prelude::*;
-use sg_graph::{CsrGraph, EdgeId, EdgeList, EncodedCsr, VertexId};
+use sg_graph::{CsrGraph, EdgeId, VertexId};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Outcome of one compression run.
@@ -81,21 +82,7 @@ impl Engine {
     pub fn run_edge_kernel<K: EdgeKernel>(&self, g: &CsrGraph, kernel: &K) -> CompressionResult {
         let start = Instant::now();
         let sg = SgContext::new(g, self.seed);
-        let decisions: Vec<EdgeDecision> = g
-            .par_edge_ids()
-            .map(|e| {
-                let (u, v) = g.edge_endpoints(e);
-                let view = EdgeView {
-                    id: e,
-                    u,
-                    v,
-                    weight: g.edge_weight(e),
-                    deg_u: g.degree(u),
-                    deg_v: g.degree(v),
-                };
-                kernel.process(view, &sg)
-            })
-            .collect();
+        let decisions = decide_edges(&sg, kernel, 0..g.num_edges() as EdgeId);
         let any_reweight = decisions.par_iter().any(|d| matches!(d, EdgeDecision::Reweight(_)));
         let graph = if any_reweight {
             g.filter_reweight(|e| match decisions[e as usize] {
@@ -115,89 +102,6 @@ impl Engine {
         }
     }
 
-    /// Executes an edge kernel over an *encoded* graph, decoding rows on
-    /// the fly — raw CSR is never materialized for the input. The canonical
-    /// edge id of the k-th forward slot of row `v` is
-    /// `forward_edge_offsets()[v] + k`, a pure function of the row index,
-    /// so kernel decisions (and hence the output graph) are bit-identical
-    /// to [`Engine::run_edge_kernel`] over the equivalent raw graph at any
-    /// `SG_THREADS`.
-    pub fn run_edge_kernel_encoded<K: EdgeKernel>(
-        &self,
-        g: &EncodedCsr,
-        kernel: &K,
-    ) -> CompressionResult {
-        let start = Instant::now();
-        let sg = SgContext::new_encoded(g, self.seed);
-        let directed = g.is_directed();
-        let offsets = g.forward_edge_offsets();
-        let n = g.num_vertices();
-        let decisions: Vec<EdgeDecision> = (0..n as VertexId)
-            .into_par_iter()
-            .flat_map_iter(|v| {
-                let base = offsets[v as usize];
-                let deg_u = g.degree(v);
-                let mut row = Vec::with_capacity(offsets[v as usize + 1] - base);
-                let mut k = 0usize;
-                g.cursor(v).for_each(|t| {
-                    if directed || t > v {
-                        let e = (base + k) as EdgeId;
-                        let view = EdgeView {
-                            id: e,
-                            u: v,
-                            v: t,
-                            weight: g.edge_weight(e),
-                            deg_u,
-                            deg_v: g.degree(t),
-                        };
-                        row.push(kernel.process(view, &sg));
-                        k += 1;
-                    }
-                });
-                row
-            })
-            .collect();
-        let any_reweight = decisions.par_iter().any(|d| matches!(d, EdgeDecision::Reweight(_)));
-        // Materialize survivors by a second forward enumeration (same
-        // order, so `decisions[e]` lines up with the slot being visited).
-        let weighted = any_reweight || g.is_weighted();
-        let mut edges = Vec::with_capacity(g.num_edges());
-        let mut weights = weighted.then(|| Vec::with_capacity(g.num_edges()));
-        let mut next = 0usize;
-        for v in 0..n as VertexId {
-            g.cursor(v).for_each(|t| {
-                if directed || t > v {
-                    let e = next as EdgeId;
-                    next += 1;
-                    let kept = match decisions[e as usize] {
-                        EdgeDecision::Keep => Some(g.edge_weight(e)),
-                        EdgeDecision::Delete => None,
-                        EdgeDecision::Reweight(w) => Some(w),
-                    };
-                    if let Some(w) = kept {
-                        edges.push((v, t));
-                        if let Some(ws) = &mut weights {
-                            ws.push(w);
-                        }
-                    }
-                }
-            });
-        }
-        let el = EdgeList { num_vertices: n, edges, weights };
-        let graph = if directed {
-            CsrGraph::from_edge_list_directed(el)
-        } else {
-            CsrGraph::from_edge_list(el)
-        };
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: n,
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        }
-    }
-
     /// Executes a vertex kernel over every vertex in parallel (§4.4).
     /// Deleted vertices take their incident edges with them; survivors are
     /// relabelled compactly (Table 3's `remove k deg-1 vertices` row changes
@@ -209,13 +113,7 @@ impl Engine {
     ) -> CompressionResult {
         let start = Instant::now();
         let sg = SgContext::new(g, self.seed);
-        let removed: Vec<bool> = (0..g.num_vertices() as VertexId)
-            .into_par_iter()
-            .map(|v| {
-                let view = VertexView { id: v, degree: g.degree(v) };
-                kernel.process(view, &sg) == VertexDecision::Delete
-            })
-            .collect();
+        let removed = decide_vertices(&sg, kernel, 0..g.num_vertices() as VertexId);
         let (graph, mapping) = g.remove_vertices(&removed);
         CompressionResult {
             graph,
@@ -279,6 +177,51 @@ impl Engine {
             vertex_mapping: None,
         }
     }
+}
+
+/// Decides every canonical edge with id in `ids` under `kernel`, in
+/// parallel; `decisions[i]` is edge `ids.start + i`'s. The one place an
+/// [`EdgeView`] is built: the engine runs it over every edge, sg-dist
+/// ranks and federation shards over the range they own, so all of them
+/// decide bit-identically.
+pub fn decide_edges<K: EdgeKernel + ?Sized>(
+    sg: &SgContext<'_>,
+    kernel: &K,
+    ids: Range<EdgeId>,
+) -> Vec<EdgeDecision> {
+    let g = sg.graph;
+    ids.into_par_iter()
+        .map(|e| {
+            let (u, v) = g.edge_endpoints(e);
+            let view = EdgeView {
+                id: e,
+                u,
+                v,
+                weight: g.edge_weight(e),
+                deg_u: g.degree(u),
+                deg_v: g.degree(v),
+            };
+            kernel.process(view, sg)
+        })
+        .collect()
+}
+
+/// Decides every vertex in `ids` under `kernel`, in parallel; `removed[i]`
+/// is true when vertex `ids.start + i` is deleted. The vertex-class
+/// counterpart of [`decide_edges`], shared by the engine, sg-dist ranks,
+/// and federation shards.
+pub fn decide_vertices<K: VertexKernel + ?Sized>(
+    sg: &SgContext<'_>,
+    kernel: &K,
+    ids: Range<VertexId>,
+) -> Vec<bool> {
+    let g = sg.graph;
+    ids.into_par_iter()
+        .map(|v| {
+            let view = VertexView { id: v, degree: g.degree(v) };
+            kernel.process(view, sg) == VertexDecision::Delete
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -380,8 +323,8 @@ mod tests {
     impl SubgraphKernel for DropIntraCluster {
         fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>) {
             for &v in sgv.members {
-                let row = sg.graph.csr().neighbors(v);
-                let eids = sg.graph.csr().neighbor_edge_ids(v);
+                let row = sg.graph.neighbors(v);
+                let eids = sg.graph.neighbor_edge_ids(v);
                 for (i, &u) in row.iter().enumerate() {
                     if sgv.assignment[u as usize] == sgv.cluster_id as u32 {
                         sg.del_edge(eids[i]);
@@ -435,50 +378,5 @@ mod tests {
         let a = Engine::new(123).run_edge_kernel(&g, &CoinFlip);
         let b = Engine::new(123).run_edge_kernel(&g, &CoinFlip);
         assert_eq!(a.graph.edge_slice(), b.graph.edge_slice());
-    }
-
-    struct RandomDrop;
-    impl EdgeKernel for RandomDrop {
-        fn process(&self, e: EdgeView, sg: &SgContext<'_>) -> EdgeDecision {
-            if sg.rand_unit(e.id as u64, 0) < 0.4 {
-                EdgeDecision::Delete
-            } else {
-                EdgeDecision::Keep
-            }
-        }
-    }
-
-    #[test]
-    fn encoded_edge_kernel_matches_raw() {
-        let g = generators::rmat_graph500(10, 8, 21);
-        let enc = sg_graph::EncodedCsr::from_graph(&g);
-        let raw = Engine::new(77).run_edge_kernel(&g, &RandomDrop);
-        let dec = Engine::new(77).run_edge_kernel_encoded(&enc, &RandomDrop);
-        assert_eq!(raw.graph.edge_slice(), dec.graph.edge_slice());
-        assert_eq!(raw.graph.csr_offsets(), dec.graph.csr_offsets());
-        assert_eq!(raw.original_edges, dec.original_edges);
-    }
-
-    struct WeightScaled;
-    impl EdgeKernel for WeightScaled {
-        fn process(&self, e: EdgeView, _sg: &SgContext<'_>) -> EdgeDecision {
-            if e.deg_u + e.deg_v > 6 {
-                EdgeDecision::Reweight(e.weight * 0.5)
-            } else {
-                EdgeDecision::Keep
-            }
-        }
-    }
-
-    #[test]
-    fn encoded_edge_kernel_matches_raw_weighted_reweight() {
-        let g =
-            generators::with_random_weights(&generators::erdos_renyi(300, 1400, 5), 1.0, 9.0, 6);
-        let enc = sg_graph::EncodedCsr::from_graph(&g);
-        let raw = Engine::new(3).run_edge_kernel(&g, &WeightScaled);
-        let dec = Engine::new(3).run_edge_kernel_encoded(&enc, &WeightScaled);
-        assert!(raw.graph.is_weighted() && dec.graph.is_weighted());
-        assert_eq!(raw.graph.edge_slice(), dec.graph.edge_slice());
-        assert_eq!(raw.graph.weight_slice(), dec.graph.weight_slice());
     }
 }

@@ -27,7 +27,8 @@ use std::collections::BTreeMap;
 /// executor without downcasting.
 pub enum DistPlan {
     /// A pure edge kernel: every rank decides its own edge range
-    /// independently (no shared state, single superstep).
+    /// independently (no shared state, single superstep). Only deletions
+    /// shard, so the kernel never returns [`crate::kernel::EdgeDecision::Reweight`].
     EdgeKernel(Box<dyn EdgeKernel>),
     /// The Triangle Reduction family: ranks own vertex/edge partitions and,
     /// for the Edge-Once disciplines, reconcile the shared `considered`
@@ -63,22 +64,14 @@ pub trait CompressionScheme: Send + Sync {
         }
     }
 
-    /// For schemes expressible as a pure edge kernel: builds the kernel for
-    /// `g`, enabling the simulated distributed backend (`sg-dist`) to shard
-    /// the scheme. `None` (the default) means shared-memory only.
-    fn edge_kernel(&self, g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
+    /// The scheme's sharded-execution plan for `g`, if it can run
+    /// distributed. `None` (the default) means shared-memory only:
+    /// contraction/summarization classes that rewrite the vertex set
+    /// globally, and edge kernels whose reweights a deletion list cannot
+    /// carry.
+    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
         let _ = g;
         None
-    }
-
-    /// The scheme's sharded-execution plan, if it can run distributed.
-    /// Defaults to wrapping [`CompressionScheme::edge_kernel`]; schemes with
-    /// triangle- or vertex-class kernels override this to opt into the
-    /// shared-state executors. `None` means shared-memory only
-    /// (contraction/summarization classes that rewrite the vertex set
-    /// globally).
-    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
-        self.edge_kernel(g).map(DistPlan::EdgeKernel)
     }
 }
 
@@ -191,8 +184,8 @@ impl CompressionScheme for Uniform {
         uniform_sample(g, self.p, seed)
     }
 
-    fn edge_kernel(&self, _g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        Some(Box::new(UniformKernel::new(self.p)))
+    fn dist_plan(&self, _g: &CsrGraph) -> Option<DistPlan> {
+        Some(DistPlan::EdgeKernel(Box::new(UniformKernel::new(self.p))))
     }
 }
 
@@ -228,8 +221,14 @@ impl CompressionScheme for Spectral {
         spectral_sparsify(g, self.p, self.variant, self.reweight, seed)
     }
 
-    fn edge_kernel(&self, g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        Some(Box::new(SpectralKernel::for_graph(g, self.p, self.variant, self.reweight)))
+    /// Reweighting survivors is not expressible as a deletion list, so a
+    /// reweighting run stays shared-memory only.
+    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
+        if self.reweight {
+            return None;
+        }
+        let kernel = SpectralKernel::for_graph(g, self.p, self.variant, false);
+        Some(DistPlan::EdgeKernel(Box::new(kernel)))
     }
 }
 
@@ -372,8 +371,9 @@ impl CompressionScheme for CutSparsifier {
         cut_sparsify(g, self.k, seed)
     }
 
-    fn edge_kernel(&self, g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        Some(Box::new(CutSparsifyKernel { indices: forest_indices(g), k: self.k }))
+    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
+        let kernel = CutSparsifyKernel { indices: forest_indices(g), k: self.k };
+        Some(DistPlan::EdgeKernel(Box::new(kernel)))
     }
 }
 

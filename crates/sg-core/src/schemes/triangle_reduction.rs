@@ -23,10 +23,12 @@
 use crate::context::{DetRand, SgContext};
 use crate::engine::{CompressionResult, Engine};
 use crate::kernel::{Triangle, TriangleKernel};
+use rayon::prelude::*;
 use sg_algos::tc;
 use sg_algos::union_find::UnionFind;
 use sg_graph::prng::mix64;
-use sg_graph::{CsrGraph, EdgeId, EdgeList, GraphView, VertexId, Weight};
+use sg_graph::{CsrGraph, EdgeId, EdgeList, VertexId, Weight};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Which edge(s) of a sampled triangle are removed.
@@ -158,6 +160,45 @@ pub fn ranked_triangle_edges(
         }
     }
     edges
+}
+
+/// Edge ids Plain Triangle Reduction deletes from the triangles whose
+/// smallest vertex lies in `vertices`, sorted and deduplicated. Every
+/// triangle has exactly one smallest vertex, so the union over a partition
+/// of the vertex set is the shared-memory deletion set: sg-dist ranks and
+/// federation shards each run this over the range they own.
+pub fn plain_tr_deletions(
+    g: &CsrGraph,
+    cfg: TrConfig,
+    seed: u64,
+    vertices: Range<VertexId>,
+) -> Vec<EdgeId> {
+    debug_assert_eq!(cfg.discipline, Discipline::Plain, "Edge-Once needs the superstep protocol");
+    cfg.validate();
+    let rand = DetRand::new(seed);
+    let counts = (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
+    let mut deleted: Vec<EdgeId> = vertices
+        .into_par_iter()
+        .flat_map_iter(|u| {
+            let mut chosen = Vec::new();
+            tc::for_triangles_at(g, u, &mut |t: Triangle| {
+                if triangle_sampled(&t, cfg.p, rand) {
+                    let ranked = ranked_triangle_edges(
+                        &t,
+                        cfg.choice,
+                        rand,
+                        |e| g.edge_weight(e),
+                        counts.as_deref(),
+                    );
+                    chosen.extend_from_slice(&ranked[..cfg.x]);
+                }
+            });
+            chosen
+        })
+        .collect();
+    deleted.par_sort_unstable();
+    deleted.dedup();
+    deleted
 }
 
 /// The TR compression kernel (`p-1-reduction` / `p-1-reduction-EO` of

@@ -4,29 +4,32 @@
 //! ≈128 B edges) with a *distributed* implementation of compression kernels
 //! built on MPI Remote Memory Access. That substrate is simulated here:
 //! each MPI rank becomes an OS thread owning a contiguous shard of the
-//! graph (`sg_graph::partition`), kernels run per shard, and gather phases
-//! flow over channels and deterministic mailboxes instead of RMA windows.
+//! graph (`sg_graph::partition`), kernels run per shard, and the root
+//! merges what the ranks decided.
 //!
-//! Three kernel classes run distributed:
+//! Three kernel classes run distributed, all through
+//! [`distributed_compress`]:
 //!
-//! * **edge kernels** — decisions are pure in `(seed, edge id)`, so shards
-//!   are embarrassingly parallel ([`distributed_edge_kernel`]);
-//! * **triangle kernels** — the Triangle Reduction family, including the
-//!   stateful Edge-Once/Count-Triangles disciplines, via the superstep
-//!   reservation protocol in [`sharded`];
-//! * **vertex kernels** — per-rank decisions over owned vertex ranges,
-//!   merged in rank order ([`sharded`]).
+//! * **edge kernels** and **vertex kernels** — decisions are pure in
+//!   `(seed, element id)`, so every rank runs sg-core's range primitive
+//!   ([`sg_core::decide_edges`] / [`sg_core::decide_vertices`]) over the
+//!   range it owns;
+//! * **Plain Triangle Reduction** — likewise stateless: each rank runs
+//!   [`sg_core::schemes::plain_tr_deletions`] over its vertex range;
+//! * **Edge-Once / Count-Triangles** — the stateful disciplines run the
+//!   superstep reservation protocol of [`sharded`].
 //!
 //! In every case the distributed result is **bit-identical** to the
 //! shared-memory `scheme.apply(g, seed)` for any rank count — the property
-//! the tests pin down. Schemes that rewrite the graph globally
-//! (summarization, spanners, collapse) report [`DistError::Unsupported`].
+//! the tests pin down. Schemes without a sharded plan (global rewrites:
+//! summarization, spanners, collapse; reweighting spectral sparsification)
+//! report [`DistError::Unsupported`].
 //!
 //! The `shard_*` helpers at the bottom are the *federation* building
 //! blocks: sg-serve's coordinator splits a request into `(shard, shards)`
-//! sub-requests answered by worker daemons holding full graph replicas, and
-//! merges the returned deletion lists with [`apply_edge_deletions`] /
-//! [`apply_vertex_removals`].
+//! sub-requests answered by worker daemons holding full graph replicas —
+//! each runs the same per-range runner as one in-process rank — and
+//! merges the returned deletion lists with [`merge_outcomes`].
 
 pub mod error;
 pub mod sharded;
@@ -35,13 +38,14 @@ pub use error::DistError;
 pub use sharded::ShardedContext;
 
 use crossbeam::channel;
-use sg_core::kernel::{
-    EdgeDecision, EdgeKernel, EdgeView, Triangle, VertexDecision, VertexKernel, VertexView,
+use sg_core::kernel::{EdgeDecision, EdgeKernel};
+use sg_core::schemes::{plain_tr_deletions, Discipline};
+use sg_core::{
+    decide_edges, decide_vertices, CompressionResult, CompressionScheme, DistPlan, SgContext,
 };
-use sg_core::schemes::{ranked_triangle_edges, triangle_sampled, Discipline, EdgeChoice, TrConfig};
-use sg_core::{CompressionResult, CompressionScheme, DetRand, DistPlan, SgContext};
-use sg_graph::partition::{partition_edges, partition_vertices, EdgeShard};
+use sg_graph::partition::{partition_edges, partition_vertices};
 use sg_graph::{CsrGraph, EdgeId, VertexId};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Per-rank execution statistics returned by the simulated pipeline.
@@ -104,102 +108,92 @@ impl DistResult {
     }
 }
 
-/// Runs an edge kernel over `ranks` simulated distributed ranks.
-pub fn distributed_edge_kernel<K: EdgeKernel + ?Sized>(
-    g: &CsrGraph,
-    kernel: &K,
-    ranks: usize,
-    seed: u64,
-) -> DistResult {
-    assert!(ranks > 0, "need at least one rank");
-    let start = Instant::now();
-    let shards = partition_edges(g, ranks);
-    let (tx, rx) = channel::unbounded::<(usize, Vec<EdgeId>)>();
+/// What one rank — or one federation shard — owns under a stateless plan.
+struct Owned {
+    /// Canonical edge ids the rank owns.
+    edges: Range<EdgeId>,
+    /// Vertex ids the rank owns; empty on the edge-partitioned path.
+    vertices: Range<VertexId>,
+}
 
-    // Each rank runs its shard independently (thread = MPI rank).
-    std::thread::scope(|scope| {
-        for shard in &shards {
-            let tx = tx.clone();
-            let shard: EdgeShard = *shard;
-            scope.spawn(move || {
-                let sg = SgContext::new(g, seed);
-                let kept: Vec<EdgeId> = shard
-                    .edge_ids()
-                    .filter(|&e| {
-                        let (u, v) = g.edge_endpoints(e);
-                        let view = EdgeView {
-                            id: e,
-                            u,
-                            v,
-                            weight: g.edge_weight(e),
-                            deg_u: g.degree(u),
-                            deg_v: g.degree(v),
-                        };
-                        !matches!(kernel.process(view, &sg), EdgeDecision::Delete)
-                    })
-                    .collect();
-                tx.send((shard.rank, kept)).expect("root outlives ranks");
-            });
-        }
-    });
-    drop(tx);
-
-    // Gather phase at the root.
-    let mut per_rank: Vec<Vec<EdgeId>> = vec![Vec::new(); ranks];
-    for (rank, kept) in rx {
-        per_rank[rank] = kept;
+/// Every rank's ownership under `plan`. Edge kernels split the canonical
+/// edge array into balanced shards; triangle and vertex plans split the
+/// vertex set, and each rank owns the canonical edges whose smaller
+/// endpoint it owns.
+fn ownership(g: &CsrGraph, plan: &DistPlan, ranks: usize) -> Vec<Owned> {
+    if let DistPlan::EdgeKernel(_) = plan {
+        return partition_edges(g, ranks)
+            .iter()
+            .map(|s| Owned { edges: s.start..s.end, vertices: 0..0 })
+            .collect();
     }
-    let stats: Vec<RankStats> = shards
+    let parts = partition_vertices(g.num_vertices(), ranks);
+    let starts = sharded::edge_rank_starts(g, &parts);
+    parts
         .iter()
-        .map(|s| RankStats {
-            rank: s.rank,
-            owned_edges: s.len(),
-            kept_edges: per_rank[s.rank].len(),
-            owned_vertices: 0,
-            messages_sent: 1, // one gather send per rank
-            supersteps: 1,
+        .enumerate()
+        .map(|(rank, &(lo, hi))| Owned {
+            edges: starts[rank] as EdgeId..starts[rank + 1] as EdgeId,
+            vertices: lo as VertexId..hi as VertexId,
         })
-        .collect();
-    let mut keep_mask = vec![false; g.num_edges()];
-    for kept in &per_rank {
-        for &e in kept {
-            keep_mask[e as usize] = true;
+        .collect()
+}
+
+/// The one stateless runner: decides `plan` over the range `own` owns.
+/// An in-process rank and a federation shard both call exactly this.
+/// Triangle plans must be Plain (the caller routes Edge-Once elsewhere).
+fn run_range(g: &CsrGraph, plan: &DistPlan, own: &Owned, seed: u64) -> ShardOutcome {
+    match plan {
+        DistPlan::EdgeKernel(kernel) => {
+            ShardOutcome::Edges(edge_deletions(g, kernel.as_ref(), own.edges.clone(), seed))
         }
-    }
-    let graph = g.filter_edges(|e| keep_mask[e as usize]);
-    let degree_histogram = distributed_degree_histogram(&graph, ranks);
-    DistResult {
-        result: CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        },
-        ranks: stats,
-        degree_histogram,
+        DistPlan::Triangle(cfg) => {
+            ShardOutcome::Edges(plain_tr_deletions(g, *cfg, seed, own.vertices.clone()))
+        }
+        DistPlan::Vertex(kernel) => {
+            let sg = SgContext::new(g, seed);
+            let removed = decide_vertices(&sg, kernel.as_ref(), own.vertices.clone());
+            ShardOutcome::Vertices(
+                own.vertices.clone().zip(removed).filter_map(|(v, r)| r.then_some(v)).collect(),
+            )
+        }
     }
 }
 
-/// Distributed random uniform sampling — the §7.3 experiment (Figure 8).
-pub fn distributed_uniform_sample(g: &CsrGraph, p: f64, ranks: usize, seed: u64) -> DistResult {
-    let kernel = sg_core::schemes::UniformKernel::new(p);
-    distributed_edge_kernel(g, &kernel, ranks, seed)
+/// Edge ids in `ids` that `kernel` deletes, ascending. Decides in blocks
+/// so a shard holds the decisions of one block, not of every owned edge.
+fn edge_deletions(
+    g: &CsrGraph,
+    kernel: &dyn EdgeKernel,
+    ids: Range<EdgeId>,
+    seed: u64,
+) -> Vec<EdgeId> {
+    const BLOCK: EdgeId = 1 << 16;
+    let sg = SgContext::new(g, seed);
+    let mut deleted = Vec::new();
+    for lo in ids.clone().step_by(BLOCK as usize) {
+        let block = lo..ids.end.min(lo.saturating_add(BLOCK));
+        let decisions = decide_edges(&sg, kernel, block.clone());
+        deleted.extend(
+            block.zip(decisions).filter(|&(_, d)| d == EdgeDecision::Delete).map(|(e, _)| e),
+        );
+    }
+    deleted
 }
 
 /// Runs any registry scheme with a sharded-execution plan over the
 /// simulated distributed pipeline:
 ///
-/// * edge-kernel schemes (`uniform`, `spectral`, `cut`) shard the edge
-///   array and run embarrassingly parallel;
-/// * the Triangle Reduction family (`tr`, `tr-eo`, `tr-ct`, `tr-mw`) runs
-///   the superstep reservation protocol of [`sharded`];
-/// * vertex-kernel schemes (`lowdeg`) decide per owned vertex range and
-///   merge removals in rank order.
+/// * stateless plans — edge kernels (`uniform`, `spectral` without
+///   reweighting, `cut`), Plain Triangle Reduction (`tr`), and vertex
+///   kernels (`lowdeg`) — run one thread per rank over the rank's owned
+///   range, then the root merges in rank order;
+/// * the Edge-Once disciplines (`tr-eo`, `tr-ct`, `tr-mw`) run the
+///   superstep reservation protocol of [`sharded`].
 ///
-/// Schemes that rewrite the graph globally (`collapse`, `spanner`,
-/// `summary`) return [`DistError::Unsupported`]. Results are bit-identical
-/// to `scheme.apply(g, seed)` for any rank count.
+/// Schemes without a plan (`collapse`, `spanner`, `summary`, reweighting
+/// `spectral`) return [`DistError::Unsupported`]. Results are
+/// bit-identical to `scheme.apply(g, seed)` for any rank count.
 pub fn distributed_compress(
     g: &CsrGraph,
     scheme: &dyn CompressionScheme,
@@ -209,38 +203,68 @@ pub fn distributed_compress(
     if ranks == 0 {
         return Err(DistError::InvalidRanks { ranks });
     }
-    match scheme.dist_plan(g) {
-        Some(DistPlan::EdgeKernel(kernel)) => {
-            Ok(distributed_edge_kernel(g, kernel.as_ref(), ranks, seed))
+    match scheme.dist_plan(g).ok_or_else(|| unsupported(scheme))? {
+        DistPlan::Triangle(cfg) if cfg.discipline != Discipline::Plain => {
+            sharded::sharded_triangle_compress(g, cfg, ranks, seed)
         }
-        Some(DistPlan::Triangle(cfg)) => sharded::sharded_triangle_compress(g, cfg, ranks, seed),
-        Some(DistPlan::Vertex(kernel)) => {
-            sharded::sharded_vertex_compress(g, kernel.as_ref(), ranks, seed)
-        }
-        None => Err(unsupported_global(scheme)),
+        plan => Ok(stateless_compress(g, &plan, ranks, seed)),
     }
 }
 
-/// Runs a registry scheme's sharded plan over `ranks` simulated ranks with
-/// the graph served zero-copy out of one shared read-only `.sgr` mapping —
-/// the paper's setting where every rank reads the node-local graph through
-/// RMA windows without private copies.
-///
-/// `sg_store::MmapGraph` borrows the CSR sections straight from the
-/// mapping, and each rank thread borrows the same `CsrGraph`, so the whole
-/// simulated cluster holds exactly one copy of the graph: the page cache's.
-/// Results are bit-identical to [`distributed_compress`] over a heap-loaded
-/// graph.
-pub fn distributed_compress_sgr(
-    path: impl AsRef<std::path::Path>,
-    scheme: &dyn CompressionScheme,
-    ranks: usize,
-    seed: u64,
-) -> Result<DistResult, DistError> {
-    let path = path.as_ref();
-    let mapped = sg_store::MmapGraph::open(path)
-        .map_err(|e| DistError::Io { path: path.display().to_string(), message: e.to_string() })?;
-    distributed_compress(&mapped, scheme, ranks, seed)
+/// A stateless plan over `ranks` rank threads: each runs [`run_range`]
+/// over its owned range; the root merges the outcomes, and each rank's
+/// statistics come from its owned range of the merged result.
+fn stateless_compress(g: &CsrGraph, plan: &DistPlan, ranks: usize, seed: u64) -> DistResult {
+    let start = Instant::now();
+    let owned = ownership(g, plan, ranks);
+    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            owned.iter().map(|own| scope.spawn(move || run_range(g, plan, own, seed))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    let merged = union_outcomes(&outcomes);
+    let (graph, vertex_mapping) = apply_outcome(g, &merged);
+    let kept_in = |edges: &Range<EdgeId>| match &merged {
+        ShardOutcome::Edges(deleted) => {
+            let below = |bound: EdgeId| deleted.partition_point(|&e| e < bound);
+            edges.len() - (below(edges.end) - below(edges.start))
+        }
+        ShardOutcome::Vertices(_) => {
+            let mapping = vertex_mapping.as_deref().expect("vertex removals relabel");
+            let both_survive = |e| {
+                let (u, v) = g.edge_endpoints(e);
+                mapping[u as usize].is_some() && mapping[v as usize].is_some()
+            };
+            edges.clone().filter(|&e| both_survive(e)).count()
+        }
+    };
+    let stats = owned
+        .iter()
+        .enumerate()
+        .map(|(rank, own)| RankStats {
+            rank,
+            owned_edges: own.edges.len(),
+            kept_edges: kept_in(&own.edges),
+            owned_vertices: own.vertices.len(),
+            messages_sent: 1, // one gather send per rank
+            supersteps: 1,
+        })
+        .collect();
+    let degree_histogram = distributed_degree_histogram(&graph, ranks);
+    DistResult {
+        result: CompressionResult {
+            graph,
+            original_edges: g.num_edges(),
+            original_vertices: g.num_vertices(),
+            elapsed: start.elapsed(),
+            vertex_mapping,
+        },
+        ranks: stats,
+        degree_histogram,
+    }
 }
 
 /// Computes the degree histogram with per-rank partial histograms merged at
@@ -295,7 +319,7 @@ pub enum ShardKind {
     Vertices,
 }
 
-/// Classifies `scheme` for federation **without doing any work**:
+/// Classifies `scheme` for federation **without running it**:
 /// `Ok(kind)` if independent `(shard, shards)` sub-runs against full
 /// replicas reconstruct the shared-memory result, else exactly the typed
 /// error [`shard_compress`] would return. The serving coordinator calls
@@ -304,39 +328,41 @@ pub fn federation_plan(
     g: &CsrGraph,
     scheme: &dyn CompressionScheme,
 ) -> Result<ShardKind, DistError> {
-    match scheme.dist_plan(g) {
-        Some(DistPlan::EdgeKernel(_)) => Ok(ShardKind::Edges),
-        Some(DistPlan::Triangle(cfg)) => triangle_shard_supported(cfg).map(|()| ShardKind::Edges),
-        Some(DistPlan::Vertex(_)) => Ok(ShardKind::Vertices),
-        None => Err(unsupported_global(scheme)),
+    Ok(match federable_plan(g, scheme)? {
+        DistPlan::Vertex(_) => ShardKind::Vertices,
+        DistPlan::EdgeKernel(_) | DistPlan::Triangle(_) => ShardKind::Edges,
+    })
+}
+
+/// `scheme`'s plan if its shards are independent: every stateless plan.
+/// The Edge-Once disciplines need the superstep flag exchange and must run
+/// through [`distributed_compress`] instead.
+fn federable_plan(g: &CsrGraph, scheme: &dyn CompressionScheme) -> Result<DistPlan, DistError> {
+    match scheme.dist_plan(g).ok_or_else(|| unsupported(scheme))? {
+        DistPlan::Triangle(cfg) if cfg.discipline != Discipline::Plain => {
+            Err(DistError::Unsupported {
+                scheme: cfg.label(),
+                reason: "Edge-Once disciplines need the cross-shard flag exchange; \
+                         run them through distributed_compress"
+                    .to_string(),
+            })
+        }
+        plan => Ok(plan),
     }
 }
 
-/// Plain Triangle Reduction federates; the stateful Edge-Once disciplines
-/// need the superstep flag exchange and must run through
-/// [`distributed_compress`] instead.
-fn triangle_shard_supported(cfg: TrConfig) -> Result<(), DistError> {
-    if cfg.discipline != Discipline::Plain {
-        return Err(DistError::Unsupported {
-            scheme: cfg.label(),
-            reason: "Edge-Once disciplines need the cross-shard flag exchange; \
-                     run them through distributed_compress"
-                .to_string(),
-        });
-    }
-    Ok(())
-}
-
-fn unsupported_global(scheme: &dyn CompressionScheme) -> DistError {
+fn unsupported(scheme: &dyn CompressionScheme) -> DistError {
     DistError::Unsupported {
         scheme: scheme.name().to_string(),
-        reason: "scheme rewrites the graph globally; no sharded-execution plan".to_string(),
+        reason: "no sharded-execution plan (it rewrites the graph globally or reweights edges)"
+            .to_string(),
     }
 }
 
-/// Computes shard `shard` of `shards` for any federable scheme. Dispatches
-/// on the scheme's [`DistPlan`]: edge kernels and *Plain* Triangle
-/// Reduction yield [`ShardOutcome::Edges`]; vertex kernels yield
+/// Computes shard `shard` of `shards` for any federable scheme: the same
+/// per-range runner an in-process rank of [`distributed_compress`] runs.
+/// Edge kernels and *Plain* Triangle Reduction yield
+/// [`ShardOutcome::Edges`]; vertex kernels yield
 /// [`ShardOutcome::Vertices`]. Stateful disciplines (Edge-Once,
 /// Count-Triangles) need the cross-shard flag exchange of [`sharded`] and
 /// are rejected — the coordinator runs those locally instead.
@@ -348,19 +374,8 @@ pub fn shard_compress(
     seed: u64,
 ) -> Result<ShardOutcome, DistError> {
     check_shard(shard, shards)?;
-    match scheme.dist_plan(g) {
-        Some(DistPlan::EdgeKernel(kernel)) => {
-            shard_edge_deletions(g, kernel.as_ref(), shard, shards, seed).map(ShardOutcome::Edges)
-        }
-        Some(DistPlan::Triangle(cfg)) => {
-            shard_triangle_deletions(g, cfg, shard, shards, seed).map(ShardOutcome::Edges)
-        }
-        Some(DistPlan::Vertex(kernel)) => {
-            shard_vertex_removals(g, kernel.as_ref(), shard, shards, seed)
-                .map(ShardOutcome::Vertices)
-        }
-        None => Err(unsupported_global(scheme)),
-    }
+    let plan = federable_plan(g, scheme)?;
+    Ok(run_range(g, &plan, &ownership(g, &plan, shards)[shard], seed))
 }
 
 /// Edge ids shard `shard` of `shards` deletes under `kernel`. Decisions are
@@ -374,83 +389,52 @@ pub fn shard_edge_deletions(
     seed: u64,
 ) -> Result<Vec<EdgeId>, DistError> {
     check_shard(shard, shards)?;
-    let sg = SgContext::new(g, seed);
-    let deleted = partition_edges(g, shards)[shard]
-        .edge_ids()
-        .filter(|&e| {
-            let (u, v) = g.edge_endpoints(e);
-            let view = EdgeView {
-                id: e,
-                u,
-                v,
-                weight: g.edge_weight(e),
-                deg_u: g.degree(u),
-                deg_v: g.degree(v),
-            };
-            matches!(kernel.process(view, &sg), EdgeDecision::Delete)
-        })
-        .collect();
-    Ok(deleted)
+    let own = &partition_edges(g, shards)[shard];
+    Ok(edge_deletions(g, kernel, own.start..own.end, seed))
 }
 
-/// Edge ids shard `shard` of `shards` deletes under *Plain* Triangle
-/// Reduction: the shard enumerates the triangles whose smallest vertex it
-/// owns and applies the sampling/ranking rules against its full replica.
-/// Stateful disciplines are rejected — they need the superstep exchange.
-pub fn shard_triangle_deletions(
+/// Merges shard outcomes into the final graph: union, sort, dedup, then
+/// one [`apply_edge_deletions`] / [`apply_vertex_removals`]. The vertex
+/// mapping is `Some` when the shards removed vertices.
+pub fn merge_outcomes<'a>(
     g: &CsrGraph,
-    cfg: TrConfig,
-    shard: usize,
-    shards: usize,
-    seed: u64,
-) -> Result<Vec<EdgeId>, DistError> {
-    check_shard(shard, shards)?;
-    triangle_shard_supported(cfg)?;
-    let rand = DetRand::new(seed);
-    let counts = (cfg.choice == EdgeChoice::FewestTriangles)
-        .then(|| sg_core::schemes::triangle_reduction::edge_triangle_counts(g));
-    let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
-    let mut deleted: Vec<EdgeId> = Vec::new();
-    for u in lo..hi {
-        sg_algos::tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
-            if !triangle_sampled(&t, cfg.p, rand) {
-                return;
-            }
-            let ranked = ranked_triangle_edges(
-                &t,
-                cfg.choice,
-                rand,
-                |e| g.edge_weight(e),
-                counts.as_deref(),
-            );
-            deleted.extend(ranked.iter().take(cfg.x));
-        });
+    outcomes: impl IntoIterator<Item = &'a ShardOutcome>,
+) -> (CsrGraph, Option<Vec<Option<VertexId>>>) {
+    apply_outcome(g, &union_outcomes(outcomes))
+}
+
+/// The sorted, deduplicated union of shard outcomes (all of one kind).
+fn union_outcomes<'a>(outcomes: impl IntoIterator<Item = &'a ShardOutcome>) -> ShardOutcome {
+    let mut edges: Vec<EdgeId> = Vec::new();
+    let mut vertices: Option<Vec<VertexId>> = None;
+    for outcome in outcomes {
+        match outcome {
+            ShardOutcome::Edges(d) => edges.extend_from_slice(d),
+            ShardOutcome::Vertices(v) => vertices.get_or_insert_with(Vec::new).extend_from_slice(v),
+        }
     }
-    deleted.sort_unstable();
-    deleted.dedup();
-    Ok(deleted)
+    match vertices {
+        Some(mut v) => {
+            v.sort_unstable();
+            v.dedup();
+            ShardOutcome::Vertices(v)
+        }
+        None => {
+            edges.sort_unstable();
+            edges.dedup();
+            ShardOutcome::Edges(edges)
+        }
+    }
 }
 
-/// Vertex ids shard `shard` of `shards` removes under `kernel` (decided
-/// over the shard's owned vertex range).
-pub fn shard_vertex_removals(
-    g: &CsrGraph,
-    kernel: &dyn VertexKernel,
-    shard: usize,
-    shards: usize,
-    seed: u64,
-) -> Result<Vec<VertexId>, DistError> {
-    check_shard(shard, shards)?;
-    let sg = SgContext::new(g, seed);
-    let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
-    let removed = (lo..hi)
-        .filter(|&v| {
-            let view = VertexView { id: v as VertexId, degree: g.degree(v as VertexId) };
-            kernel.process(view, &sg) == VertexDecision::Delete
-        })
-        .map(|v| v as VertexId)
-        .collect();
-    Ok(removed)
+fn apply_outcome(g: &CsrGraph, merged: &ShardOutcome) -> (CsrGraph, Option<Vec<Option<VertexId>>>) {
+    match merged {
+        ShardOutcome::Edges(deleted) => (apply_edge_deletions(g, deleted), None),
+        ShardOutcome::Vertices(removed) => {
+            let (graph, mapping) = apply_vertex_removals(g, removed);
+            (graph, Some(mapping))
+        }
+    }
 }
 
 /// Materializes the merged result of edge-deleting shards.
@@ -516,8 +500,9 @@ mod tests {
         // result — the core guarantee of the simulation.
         let g = generators::rmat_graph500(12, 8, 1);
         let shared = uniform_sample(&g, 0.4, 42);
+        let uniform = sg_core::scheme::Uniform { p: 0.4 };
         for ranks in [1, 2, 7, 16] {
-            let dist = distributed_uniform_sample(&g, 0.4, ranks, 42);
+            let dist = distributed_compress(&g, &uniform, ranks, 42).expect("edge plan");
             assert_eq!(
                 dist.result.graph.edge_slice(),
                 shared.graph.edge_slice(),
@@ -529,7 +514,8 @@ mod tests {
     #[test]
     fn rank_stats_cover_all_edges() {
         let g = generators::erdos_renyi(1000, 5000, 2);
-        let dist = distributed_uniform_sample(&g, 0.3, 5, 3);
+        let dist = distributed_compress(&g, &sg_core::scheme::Uniform { p: 0.3 }, 5, 3)
+            .expect("edge plan");
         let owned: usize = dist.ranks.iter().map(|r| r.owned_edges).sum();
         let kept: usize = dist.ranks.iter().map(|r| r.kept_edges).sum();
         assert_eq!(owned, g.num_edges());
@@ -549,7 +535,8 @@ mod tests {
     #[test]
     fn histogram_total_is_n() {
         let g = generators::rmat_graph500(11, 10, 5);
-        let dist = distributed_uniform_sample(&g, 0.7, 4, 6);
+        let dist = distributed_compress(&g, &sg_core::scheme::Uniform { p: 0.7 }, 4, 6)
+            .expect("edge plan");
         let total: usize = dist.degree_histogram.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, g.num_vertices());
     }
@@ -591,14 +578,13 @@ mod tests {
         let mapped = sg_store::MmapGraph::open(&path).expect("map");
         #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
         assert!(mapped.is_zero_copy());
-        drop(mapped);
 
         let registry = SchemeRegistry::with_defaults();
         let uniform = registry
             .create("uniform", &SchemeParams::from_pairs(&[("p", "0.35")]))
             .expect("known scheme");
         let shared = distributed_compress(&g, uniform.as_ref(), 6, 99).expect("heap run");
-        let via_map = distributed_compress_sgr(&path, uniform.as_ref(), 6, 99).expect("mmap run");
+        let via_map = distributed_compress(&mapped, uniform.as_ref(), 6, 99).expect("mmap run");
         assert_eq!(
             shared.result.graph.edge_slice(),
             via_map.result.graph.edge_slice(),
@@ -608,20 +594,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_sgr_is_a_typed_io_error() {
-        let registry = SchemeRegistry::with_defaults();
-        let uniform = registry
-            .create("uniform", &SchemeParams::from_pairs(&[("p", "0.5")]))
-            .expect("known scheme");
-        let err =
-            distributed_compress_sgr("/nonexistent/graph.sgr", uniform.as_ref(), 2, 1).unwrap_err();
-        assert_eq!(err.code(), "dist-io");
-    }
-
-    #[test]
     fn single_rank_degenerates_gracefully() {
         let g = generators::path(10);
-        let dist = distributed_uniform_sample(&g, 0.0, 1, 7);
+        let dist = distributed_compress(&g, &sg_core::scheme::Uniform { p: 0.0 }, 1, 7)
+            .expect("edge plan");
         assert_eq!(dist.result.graph.num_edges(), 9);
         assert_eq!(dist.ranks.len(), 1);
     }

@@ -1,5 +1,7 @@
 //! Sharded execution with shared-state reconciliation (§7.3 beyond edge
-//! kernels).
+//! kernels): the Edge-Once / Count-Triangles disciplines of Triangle
+//! Reduction. Stateless plans (edge and vertex kernels, Plain TR) need no
+//! exchange and run through the crate's per-range runner instead.
 //!
 //! The paper's distributed engine partitions vertices across MPI ranks and
 //! shares the Edge-Once `considered` flags through RMA windows. This module
@@ -15,12 +17,12 @@
 //!   its inboxes **merged in source-rank order**, so the view every rank
 //!   observes is a pure function of the input — results are bit-identical
 //!   at any `ranks` × `SG_THREADS` combination;
-//! * stateful disciplines (Edge-Once, Count-Triangles) run in *superstep
-//!   rounds*: pending sampled triangles propose on their three edges, edge
-//!   owners grant each edge to the smallest pending triangle in the
-//!   sequential processing order, and a triangle commits only when it holds
-//!   all three grants — at which point the flag state it observes on its
-//!   edges is exactly the state the sequential pass would have shown it.
+//! * the disciplines run in *superstep rounds*: pending sampled triangles
+//!   propose on their three edges, edge owners grant each edge to the
+//!   smallest pending triangle in the sequential processing order, and a
+//!   triangle commits only when it holds all three grants — at which point
+//!   the flag state it observes on its edges is exactly the state the
+//!   sequential pass would have shown it.
 //!
 //! Each round resolves at least the globally smallest pending triangle, so
 //! the protocol terminates; committed triangles within one round are
@@ -28,9 +30,9 @@
 
 use crate::error::DistError;
 use crate::{distributed_degree_histogram, DistResult, RankStats};
-use sg_core::kernel::{Triangle, VertexDecision, VertexKernel, VertexView};
-use sg_core::schemes::{ranked_triangle_edges, triangle_sampled, Discipline, EdgeChoice, TrConfig};
-use sg_core::{CompressionResult, DetRand, SgContext};
+use sg_core::kernel::Triangle;
+use sg_core::schemes::{ranked_triangle_edges, triangle_sampled, EdgeChoice, TrConfig};
+use sg_core::{CompressionResult, DetRand};
 use sg_graph::partition::partition_vertices;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::collections::HashMap;
@@ -128,7 +130,7 @@ pub struct ShardedContext<'g> {
     /// Owned canonical-edge range `[lo, hi)` (edges whose smaller endpoint
     /// this rank owns).
     pub edges: (usize, usize),
-    /// Deterministic random source (same formulas as [`SgContext`]).
+    /// Deterministic random source (same formulas as [`sg_core::SgContext`]).
     pub rand: DetRand,
     /// Messages this rank sent over the exchange.
     pub messages_sent: u64,
@@ -207,7 +209,7 @@ impl<'g> ShardedContext<'g> {
 /// lexicographically sorted, so the edges whose smaller endpoint lies in
 /// rank `r`'s vertex range form the contiguous id range
 /// `[starts[r], starts[r+1])`.
-fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<usize> {
+pub(crate) fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<usize> {
     let edges = g.edge_slice();
     let mut starts: Vec<usize> =
         parts.iter().map(|&(lo, _)| edges.partition_point(|&(u, _)| (u as usize) < lo)).collect();
@@ -242,8 +244,9 @@ fn sampled_triangles(
     pending
 }
 
-/// Runs the Triangle Reduction family over `ranks` sharded rank threads.
-/// Bit-identical to `triangle_reduce(g, cfg, seed)` at any rank count.
+/// Runs an Edge-Once discipline of Triangle Reduction (`cfg.discipline`
+/// is `EdgeOnce`) over `ranks` sharded rank threads. Bit-identical to
+/// `triangle_reduce(g, cfg, seed)` at any rank count.
 pub(crate) fn sharded_triangle_compress(
     g: &CsrGraph,
     cfg: TrConfig,
@@ -314,25 +317,16 @@ pub(crate) fn sharded_triangle_compress(
                     None
                 };
 
-                match cfg.discipline {
-                    Discipline::Plain => run_rank_plain(
-                        &mut ctx,
-                        cfg,
-                        counts.as_deref().map(|v| v.as_slice()),
-                        updates,
-                        barrier,
-                    ),
-                    Discipline::EdgeOnce => run_rank_edge_once(
-                        &mut ctx,
-                        cfg,
-                        counts.as_deref().map(|v| v.as_slice()),
-                        proposals,
-                        replies,
-                        updates,
-                        pending_total,
-                        barrier,
-                    ),
-                }
+                run_rank_edge_once(
+                    &mut ctx,
+                    cfg,
+                    counts.as_deref().map(|v| v.as_slice()),
+                    proposals,
+                    replies,
+                    updates,
+                    pending_total,
+                    barrier,
+                );
 
                 *outputs[rank].lock().expect("no poisoned lock") = Some(ctx.stats());
                 *deleted_slots[rank].lock().expect("no poisoned lock") =
@@ -364,53 +358,6 @@ pub(crate) fn sharded_triangle_compress(
         ranks: stats,
         degree_histogram,
     })
-}
-
-/// Plain TR: sampling decisions are state-independent, so one superstep
-/// suffices — ranks send deletions of their sampled triangles' chosen edges
-/// to the edge owners, then owners apply them.
-fn run_rank_plain(
-    ctx: &mut ShardedContext<'_>,
-    cfg: TrConfig,
-    counts: Option<&[u64]>,
-    updates: &Exchange<Update>,
-    barrier: &Barrier,
-) {
-    ctx.supersteps += 1;
-    for u in ctx.vertices.0..ctx.vertices.1 {
-        let (rank, rand) = (ctx.rank, ctx.rand);
-        let mut messages = 0u64;
-        let graph = ctx.graph;
-        let mut emit = |t: Triangle| {
-            if !triangle_sampled(&t, cfg.p, rand) {
-                return;
-            }
-            let ranked =
-                ranked_triangle_edges(&t, cfg.choice, rand, |e| graph.edge_weight(e), counts);
-            for &e in ranked.iter().take(cfg.x) {
-                updates.send(
-                    rank,
-                    ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                    Update { edge: e, delete: true },
-                );
-                messages += 1;
-            }
-        };
-        sg_algos::tc::for_triangles_at(ctx.graph, u as VertexId, &mut emit);
-        ctx.messages_sent += messages;
-    }
-    barrier.wait();
-    for update in updates.drain(ctx.rank) {
-        ctx.apply(&update);
-    }
-    barrier.wait();
-}
-
-/// Owner lookup without borrowing the whole context (used inside closures
-/// that already borrow `ctx` mutably elsewhere).
-#[inline]
-fn ctx_owner(edge_starts: &[usize], ranks: usize, e: EdgeId) -> usize {
-    edge_starts.partition_point(|&s| s <= e as usize).saturating_sub(1).min(ranks - 1)
 }
 
 /// Edge-Once / Count-Triangles: the superstep reservation protocol. Every
@@ -447,7 +394,7 @@ fn run_rank_edge_once(
             for (slot, &e) in p.t.edges().iter().enumerate() {
                 proposals.send(
                     ctx.rank,
-                    ctx_owner(&ctx.edge_starts, ctx.ranks, e),
+                    ctx.owner_of(e),
                     Proposal {
                         edge: e,
                         key: p.key,
@@ -519,11 +466,7 @@ fn run_rank_edge_once(
                         break;
                     }
                     if !p.considered[slot_of(e)] {
-                        updates.send(
-                            ctx.rank,
-                            ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                            Update { edge: e, delete: true },
-                        );
+                        updates.send(ctx.rank, ctx.owner_of(e), Update { edge: e, delete: true });
                         ctx.messages_sent += 1;
                         deleted += 1;
                     }
@@ -538,11 +481,7 @@ fn run_rank_edge_once(
                 }
                 for &e in edges.iter() {
                     let delete = ranked.iter().take(cfg.x).any(|&d| d == e);
-                    updates.send(
-                        ctx.rank,
-                        ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                        Update { edge: e, delete },
-                    );
+                    updates.send(ctx.rank, ctx.owner_of(e), Update { edge: e, delete });
                     ctx.messages_sent += 1;
                 }
             }
@@ -560,94 +499,10 @@ fn run_rank_edge_once(
     }
 }
 
-/// Runs a vertex kernel over `ranks` sharded rank threads: each rank
-/// decides its owned vertex range, removals are merged in rank order, and
-/// the root materializes the relabelled graph. Bit-identical to
-/// `Engine::run_vertex_kernel` at any rank count.
-/// One rank's removal verdicts (`removed[i]` for vertex `lo + i`) plus its
-/// decision count, parked until the root merges them in rank order.
-type RemovedSlot = Mutex<Option<(Vec<bool>, u64)>>;
-
-pub(crate) fn sharded_vertex_compress(
-    g: &CsrGraph,
-    kernel: &dyn VertexKernel,
-    ranks: usize,
-    seed: u64,
-) -> Result<DistResult, DistError> {
-    if ranks == 0 {
-        return Err(DistError::InvalidRanks { ranks });
-    }
-    let start = Instant::now();
-    let parts = partition_vertices(g.num_vertices(), ranks);
-    let edge_starts = edge_rank_starts(g, &parts);
-    let removed_slots: Vec<RemovedSlot> = (0..ranks).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for (rank, &(lo, hi)) in parts.iter().enumerate() {
-            let removed_slots = &removed_slots;
-            scope.spawn(move || {
-                let sg = SgContext::new(g, seed);
-                let removed: Vec<bool> = (lo..hi)
-                    .map(|v| {
-                        let view =
-                            VertexView { id: v as VertexId, degree: g.degree(v as VertexId) };
-                        kernel.process(view, &sg) == VertexDecision::Delete
-                    })
-                    .collect();
-                // One gather message per rank (the RMA put of its range).
-                *removed_slots[rank].lock().expect("no poisoned lock") = Some((removed, 1));
-            });
-        }
-    });
-
-    let mut removed = Vec::with_capacity(g.num_vertices());
-    let mut messages = Vec::with_capacity(ranks);
-    for slot in &removed_slots {
-        let (part, sent) = slot.lock().expect("no poisoned lock").take().expect("rank finished");
-        removed.extend(part);
-        messages.push(sent);
-    }
-    let (graph, mapping) = g.remove_vertices(&removed);
-    let stats: Vec<RankStats> = parts
-        .iter()
-        .enumerate()
-        .map(|(rank, &(lo, hi))| {
-            let (elo, ehi) = (edge_starts[rank], edge_starts[rank + 1]);
-            // An owned edge survives when both endpoints survive.
-            let kept = (elo..ehi)
-                .filter(|&e| {
-                    let (u, v) = g.edge_endpoints(e as EdgeId);
-                    !removed[u as usize] && !removed[v as usize]
-                })
-                .count();
-            RankStats {
-                rank,
-                owned_edges: ehi - elo,
-                kept_edges: kept,
-                owned_vertices: hi - lo,
-                messages_sent: messages[rank],
-                supersteps: 1,
-            }
-        })
-        .collect();
-    let degree_histogram = distributed_degree_histogram(&graph, ranks);
-    Ok(DistResult {
-        result: CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: Some(mapping),
-        },
-        ranks: stats,
-        degree_histogram,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::schemes::LowDegreeKernel;
+    use sg_core::scheme::{LowDegree, TriangleReduction};
     use sg_graph::generators;
 
     fn triangle_rich() -> CsrGraph {
@@ -674,8 +529,8 @@ mod tests {
         let g = triangle_rich();
         let shared = sg_core::schemes::triangle_reduce(&g, TrConfig::plain_1(0.6), 33);
         for ranks in [1, 2, 3, 8] {
-            let dist = sharded_triangle_compress(&g, TrConfig::plain_1(0.6), ranks, 33)
-                .expect("plain shards");
+            let scheme = TriangleReduction { cfg: TrConfig::plain_1(0.6) };
+            let dist = crate::distributed_compress(&g, &scheme, ranks, 33).expect("plain shards");
             assert_eq!(
                 dist.result.graph.edge_slice(),
                 shared.graph.edge_slice(),
@@ -712,8 +567,8 @@ mod tests {
         let g = generators::barabasi_albert(900, 3, 7);
         let shared = sg_core::schemes::remove_low_degree(&g, 5);
         for ranks in [1, 2, 6] {
-            let dist = sharded_vertex_compress(&g, &LowDegreeKernel::default(), ranks, 5)
-                .expect("vertex shards");
+            let dist =
+                crate::distributed_compress(&g, &LowDegree, ranks, 5).expect("vertex shards");
             assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice());
             assert_eq!(dist.result.vertex_mapping, shared.vertex_mapping);
             let kept: usize = dist.ranks.iter().map(|r| r.kept_edges).sum();

@@ -511,8 +511,8 @@ impl EncodedCsr {
     /// Canonical-edge-id of the first forward slot of each row (`n + 1`
     /// entries): for row `v`, the forward targets (`t > v` undirected, all
     /// targets directed) carry consecutive ids starting at
-    /// `offsets[v]` — a pure function of the row index, which is what keeps
-    /// the encoded edge-kernel path bit-identical to the raw one.
+    /// `offsets[v]` — a pure function of the row index, equal to the raw
+    /// CSR's canonical edge ids.
     pub fn forward_edge_offsets(&self) -> Vec<usize> {
         let n = self.num_vertices();
         let counts: Vec<usize> = (0..n as VertexId)

@@ -6,7 +6,7 @@
 //! is split into `workers.len()` shards; each shard becomes one v2
 //! `shard_run` request answered by a worker against its own full replica,
 //! and the returned deletion/removal id lists are merged locally with
-//! [`sg_dist::apply_edge_deletions`] / [`sg_dist::apply_vertex_removals`].
+//! [`sg_dist::merge_outcomes`].
 //!
 //! Correctness rests on two pillars:
 //!
@@ -32,7 +32,8 @@
 use crate::client::Client;
 use crate::json::Json;
 use crate::proto::{ErrorCode, ProtoError};
-use sg_graph::{CsrGraph, EdgeId, VertexId};
+use sg_dist::ShardOutcome;
+use sg_graph::{EdgeId, VertexId};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -59,12 +60,6 @@ impl Default for FedConfig {
     }
 }
 
-/// Id payload of one shard's response.
-pub(crate) enum ShardIds {
-    Edges(Vec<EdgeId>),
-    Vertices(Vec<VertexId>),
-}
-
 /// One successfully served shard, as reported in the response's
 /// `federation.workers` array.
 pub(crate) struct ShardReport {
@@ -73,7 +68,7 @@ pub(crate) struct ShardReport {
     pub attempts: u64,
     pub checksum: String,
     pub ms: f64,
-    pub ids: ShardIds,
+    pub ids: ShardOutcome,
 }
 
 /// Everything one fan-out needs, borrowed from the dispatching request.
@@ -231,8 +226,10 @@ fn attempt_shard(
         );
     }
     let ids = match response.get("kind").and_then(Json::as_str) {
-        Some("edges") => ShardIds::Edges(ids.into_iter().map(|e| e as EdgeId).collect()),
-        Some("vertices") => ShardIds::Vertices(ids.into_iter().map(|v| v as VertexId).collect()),
+        Some("edges") => ShardOutcome::Edges(ids.into_iter().map(|e| e as EdgeId).collect()),
+        Some("vertices") => {
+            ShardOutcome::Vertices(ids.into_iter().map(|v| v as VertexId).collect())
+        }
         other => {
             return Err(transient("shard_run", format!("unknown shard kind {other:?}")));
         }
@@ -245,39 +242,6 @@ fn attempt_shard(
         ms: started.elapsed().as_secs_f64() * 1e3,
         ids,
     })
-}
-
-/// Merges shard id lists into the final graph: union, sort, dedup, then
-/// one [`sg_dist::apply_edge_deletions`] / [`sg_dist::apply_vertex_removals`]
-/// against the coordinator's copy — exactly the reconstruction the
-/// `federation_shards_union_to_the_local_result` test proves bit-identical
-/// to `scheme.apply`.
-pub(crate) fn merge_reports(
-    g: &CsrGraph,
-    reports: &[ShardReport],
-) -> (CsrGraph, Option<Vec<Option<VertexId>>>) {
-    let mut edges: Vec<EdgeId> = Vec::new();
-    let mut vertices: Vec<VertexId> = Vec::new();
-    let mut vertex_kind = false;
-    for report in reports {
-        match &report.ids {
-            ShardIds::Edges(d) => edges.extend_from_slice(d),
-            ShardIds::Vertices(v) => {
-                vertex_kind = true;
-                vertices.extend_from_slice(v);
-            }
-        }
-    }
-    if vertex_kind {
-        vertices.sort_unstable();
-        vertices.dedup();
-        let (merged, mapping) = sg_dist::apply_vertex_removals(g, &vertices);
-        (merged, Some(mapping))
-    } else {
-        edges.sort_unstable();
-        edges.dedup();
-        (sg_dist::apply_edge_deletions(g, &edges), None)
-    }
 }
 
 /// The `federation` response block of a federated run.

@@ -1242,7 +1242,7 @@ fn federated_run(
         seed,
         trace_id: &trace_id,
     })?;
-    let (merged, mapping) = fed::merge_reports(input, &reports);
+    let (merged, mapping) = sg_dist::merge_outcomes(input, reports.iter().map(|r| &r.ids));
     let block = fed::federation_block(&reports);
     let merged = Arc::new(merged);
     // Synthesize the one-stage run a local execution would have produced

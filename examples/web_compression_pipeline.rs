@@ -8,7 +8,8 @@
 //!
 //! Run: `cargo run --release -p slimgraph --example web_compression_pipeline`
 
-use sg_dist::distributed_uniform_sample;
+use sg_core::scheme::Uniform;
+use sg_dist::distributed_compress;
 use sg_graph::properties::DegreeDistribution;
 use sg_graph::{generators, io};
 
@@ -19,7 +20,7 @@ fn main() {
 
     let ranks = 8;
     for p in [0.4, 0.7] {
-        let dist = distributed_uniform_sample(&crawl, p, ranks, 5);
+        let dist = distributed_compress(&crawl, &Uniform { p }, ranks, 5).expect("edge plan");
         println!("\n== distributed sampling p = {p} over {ranks} ranks ==");
         for r in &dist.ranks {
             println!(

@@ -9,7 +9,8 @@
 
 use sg_core::{SchemeParams, SchemeRegistry};
 use sg_dist::{
-    apply_edge_deletions, apply_vertex_removals, distributed_compress, shard_compress, ShardOutcome,
+    apply_edge_deletions, apply_vertex_removals, distributed_compress, federation_plan,
+    shard_compress, ShardOutcome,
 };
 use sg_graph::generators;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
@@ -26,6 +27,7 @@ fn sharded_schemes() -> Vec<(&'static str, SchemeParams)> {
     let p = SchemeParams::from_pairs(&[("p", "0.6")]);
     vec![
         ("uniform", p.clone()),
+        ("spectral", SchemeParams::from_pairs(&[("p", "0.5")])),
         ("cut", SchemeParams::from_pairs(&[("k", "3")])),
         ("tr", p.clone()),
         ("tr-eo", p.clone()),
@@ -107,6 +109,7 @@ fn federation_shards_union_to_the_local_result() {
     let registry = SchemeRegistry::with_defaults();
     let federable = [
         ("uniform", SchemeParams::from_pairs(&[("p", "0.6")])),
+        ("spectral", SchemeParams::from_pairs(&[("p", "0.5")])),
         ("cut", SchemeParams::from_pairs(&[("k", "3")])),
         ("tr", SchemeParams::from_pairs(&[("p", "0.6")])),
         ("lowdeg", SchemeParams::from_pairs(&[])),
@@ -141,4 +144,20 @@ fn federation_shards_union_to_the_local_result() {
             }
         }
     }
+}
+
+#[test]
+fn reweighting_spectral_has_no_sharded_plan() {
+    // Reweighted survivors cannot travel as a deletion list, so both
+    // distributed entry points refuse the plan instead of silently
+    // returning an unweighted graph.
+    let g = generators::barabasi_albert(3000, 6, 7);
+    let registry = SchemeRegistry::with_defaults();
+    let params = SchemeParams::from_pairs(&[("p", "0.5"), ("reweight", "true")]);
+    let scheme = registry.create("spectral", &params).expect("registered");
+    assert!(scheme.apply(&g, 7).graph.is_weighted(), "the local run reweights");
+    let err = distributed_compress(&g, scheme.as_ref(), 2, 7).expect_err("no sharded plan");
+    assert_eq!(err.code(), "dist-unsupported");
+    let err = federation_plan(&g, scheme.as_ref()).expect_err("not federable");
+    assert_eq!(err.code(), "dist-unsupported");
 }

@@ -275,6 +275,38 @@ fn non_federable_plans_fall_back_to_the_coordinator() {
 }
 
 #[test]
+fn reweighting_spectral_runs_locally_with_the_standalone_digest() {
+    let g = input_graph();
+    let sgr = tmp("fed-reweight.sgr");
+    slimgraph::store::save_sgr(&g, &sgr).expect("write input");
+
+    let worker = spawn_worker();
+    let coordinator = spawn_coordinator(vec![worker.0.clone()], 1, 5_000);
+    let mut client = Client::connect(&coordinator.0).expect("connect");
+    ok(&client
+        .request(
+            &Client::request_for("load").with("name", Json::str("g")).with("path", Json::str(&sgr)),
+        )
+        .expect("load"));
+
+    // Shards return deletion ids only, so a reweighting plan must not
+    // federate: the coordinator answers it locally, weights intact.
+    let spec = "spectral:p=0.5:reweight=true";
+    let response = client.request(&compress_request("g", spec, 7)).expect("compress");
+    let reference = cold(spec, &g, 7);
+    assert!(reference.is_weighted(), "the standalone run reweights");
+    assert_eq!(
+        ok(&response).get("checksum").and_then(Json::as_str),
+        Some(format!("{:016x}", graph_digest(&reference)).as_str()),
+        "{spec}: coordinator digest != standalone digest"
+    );
+    let fed = response.get("federation").expect("federation block");
+    assert_eq!(fed.get("mode").and_then(Json::as_str), Some("local"), "{spec}");
+
+    shutdown(vec![coordinator, worker]);
+}
+
+#[test]
 fn replica_digest_mismatch_aborts_the_merge() {
     let g = input_graph();
     let sgr = tmp("fed-split.sgr");
