@@ -2,7 +2,7 @@
 """Gating perf-drift check against a committed bench baseline.
 
 Usage:
-    python3 ci/check_drift.py BENCH_9.json fresh1.json [fresh2.json ...]
+    python3 ci/check_drift.py BENCH_10.json fresh1.json [fresh2.json ...]
 
 The baseline is a committed ``BENCH_N.json`` (schema
 ``slimgraph-bench-baseline-v1``) whose ``gate`` block carries the

@@ -54,7 +54,7 @@ fn main() {
         ("load:bin", "bin", |p| io::load_binary(p).expect("bin load")),
         ("load:sgr-heap", "sgr", |p| sg_store::load_sgr(p).expect("sgr heap load")),
         ("load:sgr-mmap", "sgr", |p| {
-            sg_store::MmapGraph::open(p).expect("sgr mmap load").into_graph()
+            sg_store::MmapGraph::open(p).expect("sgr mmap load").into_inner()
         }),
     ];
 

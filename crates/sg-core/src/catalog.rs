@@ -77,7 +77,7 @@ pub fn load_graph(path: &str, explicit: Option<&str>, trusted: bool) -> Result<C
         GraphFormat::Text => io::load_text(path),
         GraphFormat::Bin => io::load_binary(path),
         GraphFormat::Sgr => {
-            sg_store::MmapGraph::open_with(path, verify).map(sg_store::MmapGraph::into_graph)
+            sg_store::MmapGraph::open_with(path, verify).map(sg_store::MmapGraph::into_inner)
         }
     };
     res.map_err(|e| format!("loading {path}: {e}"))
@@ -98,17 +98,10 @@ pub fn graph_approx_bytes(g: &CsrGraph) -> usize {
 }
 
 /// Saves a graph to `path` honoring an optional explicit format name.
-/// `.sgr` outputs are written raw (v1); use [`save_graph_with`] to pick
-/// an adjacency encoding.
-pub fn save_graph(g: &CsrGraph, path: &str, explicit: Option<&str>) -> Result<(), String> {
-    save_graph_with(g, path, explicit, sg_store::Encoding::Raw)
-}
-
-/// [`save_graph`] with an explicit `.sgr` adjacency [`sg_store::Encoding`]
-/// (raw v1 sections, delta+varint/bitmap v2 sections, or auto = whichever
-/// container is smaller). The encoding only affects the `.sgr` format;
-/// text and binary outputs ignore it.
-pub fn save_graph_with(
+/// `.sgr` outputs use the given adjacency [`sg_store::Encoding`] (raw v1
+/// sections, delta+varint/bitmap v2 sections, or auto = whichever
+/// container is smaller); text and binary outputs ignore it.
+pub fn save_graph(
     g: &CsrGraph,
     path: &str,
     explicit: Option<&str>,

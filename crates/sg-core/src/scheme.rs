@@ -17,6 +17,7 @@ use crate::schemes::{
 };
 use sg_graph::CsrGraph;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// How a scheme runs on the sharded/distributed backend (sg-dist).
 ///
@@ -144,6 +145,29 @@ impl SchemeParams {
     /// `f64` value with a default.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         self.parse_with(key, default)
+    }
+
+    /// `f64` value with a default, rejected unless finite and inside
+    /// `range` (an unbounded side is `±INFINITY`). This is where a scheme's
+    /// parameter domain is enforced, so a bad value becomes an error
+    /// instead of reaching a kernel's `assert!`.
+    pub fn get_f64_in(
+        &self,
+        key: &str,
+        default: f64,
+        range: RangeInclusive<f64>,
+    ) -> Result<f64, String> {
+        let value = self.get_f64(key, default)?;
+        if value.is_finite() && range.contains(&value) {
+            return Ok(value);
+        }
+        let (lo, hi) = (range.start(), range.end());
+        let allowed = if hi.is_finite() {
+            format!("[{lo}, {hi}]")
+        } else {
+            format!("a finite value >= {lo}")
+        };
+        Err(format!("parameter {key}: {value} is out of range (allowed: {allowed})"))
     }
 
     /// `u32` value with a default.
@@ -407,13 +431,17 @@ impl SchemeRegistry {
     /// The full built-in scheme zoo, keyed by the CLI names.
     ///
     /// Parameters read by the factories (all optional): `p` (sampling /
-    /// reduction probability, default 0.5), `k` (spanner stretch or cut
-    /// threshold, default 8), `epsilon` (summarization error, default 0.1),
-    /// `variant` (`logn` | `avgdeg`), `reweight` (bool), `x` (TR edges
-    /// removed per triangle, 1 or 2).
+    /// reduction probability in [0, 1], default 0.5; spectral takes any
+    /// `p` >= 0), `k` (spanner stretch >= 1 or cut threshold, default 8),
+    /// `epsilon` (summarization error >= 0, default 0.1), `variant`
+    /// (`logn` | `avgdeg`), `reweight` (bool), `x` (TR edges removed per
+    /// triangle, 1 or 2). Numeric values must be finite; a value outside
+    /// its domain is an error.
     pub fn with_defaults() -> Self {
         let mut registry = Self::new();
-        registry.register("uniform", &["p"], |p| Ok(Box::new(Uniform { p: p.get_f64("p", 0.5)? })));
+        registry.register("uniform", &["p"], |p| {
+            Ok(Box::new(Uniform { p: p.get_f64_in("p", 0.5, PROBABILITY)? }))
+        });
         registry.register("spectral", &["p", "variant", "reweight"], |p| {
             let variant = match p.get_str("variant").unwrap_or("logn") {
                 "logn" => UpsilonVariant::LogN,
@@ -421,7 +449,7 @@ impl SchemeRegistry {
                 other => return Err(format!("unknown spectral variant '{other}'")),
             };
             Ok(Box::new(Spectral {
-                p: p.get_f64("p", 0.5)?,
+                p: p.get_f64_in("p", 0.5, 0.0..=f64::INFINITY)?,
                 variant,
                 reweight: p.get_bool("reweight", false)?,
             }))
@@ -447,12 +475,16 @@ impl SchemeRegistry {
             }))
         });
         registry.register("collapse", &["p"], |p| {
-            Ok(Box::new(TriangleCollapse { p: p.get_f64("p", 0.5)? }))
+            Ok(Box::new(TriangleCollapse { p: p.get_f64_in("p", 0.5, PROBABILITY)? }))
         });
         registry.register("lowdeg", &[], |_| Ok(Box::new(LowDegree)));
-        registry.register("spanner", &["k"], |p| Ok(Box::new(Spanner { k: p.get_f64("k", 8.0)? })));
+        registry.register("spanner", &["k"], |p| {
+            Ok(Box::new(Spanner { k: p.get_f64_in("k", 8.0, 1.0..=f64::INFINITY)? }))
+        });
         registry.register("summary", &["epsilon"], |p| {
-            Ok(Box::new(Summarization { epsilon: p.get_f64("epsilon", 0.1)? }))
+            Ok(Box::new(Summarization {
+                epsilon: p.get_f64_in("epsilon", 0.1, 0.0..=f64::INFINITY)?,
+            }))
         });
         registry.register("cut", &["k"], |p| {
             // k is accepted as a float (truncated) so one shared --k flag
@@ -533,12 +565,15 @@ impl Default for SchemeRegistry {
     }
 }
 
+/// The domain of every probability-valued scheme parameter.
+const PROBABILITY: RangeInclusive<f64> = 0.0..=1.0;
+
 fn tr_config(
     params: &SchemeParams,
     discipline: Discipline,
     choice: EdgeChoice,
 ) -> Result<TrConfig, String> {
-    let p = params.get_f64("p", 0.5)?;
+    let p = params.get_f64_in("p", 0.5, PROBABILITY)?;
     let x = params.get_u32("x", 1)? as usize;
     if x != 1 && x != 2 {
         return Err(format!("TR parameter x must be 1 or 2, got {x}"));
@@ -593,6 +628,32 @@ mod tests {
         assert!(registry.create("uniform", &bad).is_err());
         let bad_x = SchemeParams::from_pairs(&[("x", "3")]);
         assert!(registry.create("tr", &bad_x).is_err());
+    }
+
+    #[test]
+    fn factories_enforce_parameter_domains() {
+        let registry = SchemeRegistry::with_defaults();
+        let create = |name: &str, key: &str, value: &str| {
+            registry.create(name, &SchemeParams::from_pairs(&[(key, value)]))
+        };
+        for name in ["uniform", "tr", "tr-eo", "tr-ct", "tr-mw", "collapse"] {
+            for bad in ["-0.1", "1.5", "NaN", "inf"] {
+                let err = create(name, "p", bad).err().expect("out of [0, 1]");
+                assert!(err.contains("parameter p") && err.contains("[0, 1]"), "{name}: {err}");
+            }
+            // The endpoints stay legal (sg-tune's candidate axes use them).
+            assert!(create(name, "p", "0").is_ok() && create(name, "p", "1").is_ok(), "{name}");
+        }
+        for (name, key, bad, edge) in [
+            ("spectral", "p", "-1", "0"),
+            ("spanner", "k", "0", "1"),
+            ("summary", "epsilon", "NaN", "0"),
+        ] {
+            let err = create(name, key, bad).err().expect("out of domain");
+            assert!(err.contains(&format!("parameter {key}")), "{name}: {err}");
+            assert!(create(name, key, "inf").is_err(), "{name}: infinite {key}");
+            assert!(create(name, key, edge).is_ok(), "{name}: {key}={edge} is legal");
+        }
     }
 
     #[test]

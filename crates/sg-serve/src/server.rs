@@ -789,8 +789,13 @@ fn dispatch(
             let (run, federation) = run_or_federate(state, ctx, &graph, &spec, seed)?;
             let mut response = run_response(ok_response(version, id), &run);
             if let Some(path) = output {
-                sg_core::catalog::save_graph(&run.graph, &path, output_format.as_deref())
-                    .map_err(|e| ProtoError::new(ErrorCode::Io, e))?;
+                sg_core::catalog::save_graph(
+                    &run.graph,
+                    &path,
+                    output_format.as_deref(),
+                    sg_store::Encoding::Raw,
+                )
+                .map_err(|e| ProtoError::new(ErrorCode::Io, e))?;
                 response = response.with("output", Json::str(path));
             }
             if let Some(block) = federation {

@@ -4,12 +4,32 @@
 
 use sg_store::format::{self, SectionId};
 use sg_store::{
-    load_sgr, load_sgr_bytes, load_sgr_bytes_with, load_sgr_with, save_sgr, to_sgr_bytes,
-    MmapGraph, Verify,
+    load_sgr, load_sgr_with, read_sgr, save_sgr, write_sgr, Encoding, MmapEncoded, MmapGraph, Sgr,
+    Verify,
 };
 
 use sg_graph::{generators, CsrGraph, EdgeList};
 use std::path::PathBuf;
+
+/// An in-memory `.sgr` image of `g`.
+fn image_with(g: &CsrGraph, encoding: Encoding) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_sgr(g, &mut buf, encoding).expect("Vec<u8> writes are infallible");
+    buf
+}
+
+/// An in-memory v1 `.sgr` image of `g`.
+fn image(g: &CsrGraph) -> Vec<u8> {
+    image_with(g, Encoding::Raw)
+}
+
+fn load_image_with(img: &[u8], verify: Verify) -> std::io::Result<CsrGraph> {
+    read_sgr(img, verify).map(Sgr::into_graph)
+}
+
+fn load_image(img: &[u8]) -> std::io::Result<CsrGraph> {
+    load_image_with(img, Verify::Checksum)
+}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("sg-store-tests");
@@ -38,14 +58,14 @@ fn assert_same_graph(a: &CsrGraph, b: &CsrGraph) {
 #[test]
 fn roundtrip_unweighted_undirected() {
     let g = generators::erdos_renyi(500, 2000, 1);
-    let h = load_sgr_bytes(&to_sgr_bytes(&g)).expect("load");
+    let h = load_image(&image(&g)).expect("load");
     assert_same_graph(&g, &h);
 }
 
 #[test]
 fn roundtrip_weighted_undirected() {
     let g = generators::with_random_weights(&generators::barabasi_albert(300, 4, 2), 0.5, 9.5, 3);
-    let h = load_sgr_bytes(&to_sgr_bytes(&g)).expect("load");
+    let h = load_image(&image(&g)).expect("load");
     assert_same_graph(&g, &h);
 }
 
@@ -53,21 +73,21 @@ fn roundtrip_weighted_undirected() {
 fn roundtrip_directed_graphs() {
     let el = EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (2, 0), (3, 1), (4, 5), (5, 4)]);
     let g = CsrGraph::from_edge_list_directed(el);
-    let h = load_sgr_bytes(&to_sgr_bytes(&g)).expect("load");
+    let h = load_image(&image(&g)).expect("load");
     assert_same_graph(&g, &h);
 
     let wel = EdgeList::from_weighted(4, vec![(0u32, 1u32, 1.5f32), (1, 0, 2.5), (2, 3, 0.25)]);
     let gw = CsrGraph::from_edge_list_directed(wel);
-    let hw = load_sgr_bytes(&to_sgr_bytes(&gw)).expect("load");
+    let hw = load_image(&image(&gw)).expect("load");
     assert_same_graph(&gw, &hw);
 }
 
 #[test]
 fn roundtrip_empty_and_isolated() {
     let empty = CsrGraph::from_pairs(0, &[]);
-    assert_same_graph(&empty, &load_sgr_bytes(&to_sgr_bytes(&empty)).expect("load empty"));
+    assert_same_graph(&empty, &load_image(&image(&empty)).expect("load empty"));
     let isolated = CsrGraph::from_pairs(10, &[(0, 1)]);
-    assert_same_graph(&isolated, &load_sgr_bytes(&to_sgr_bytes(&isolated)).expect("load isolated"));
+    assert_same_graph(&isolated, &load_image(&image(&isolated)).expect("load isolated"));
 }
 
 #[test]
@@ -99,8 +119,8 @@ fn mmap_loader_is_zero_copy_and_matches_heap() {
         assert!(!heap.is_fully_mapped(), "heap loader owns its sections");
     }
 
-    // The mapping survives `into_graph`, clones, and the original's drop.
-    let owned_view = mapped.into_graph();
+    // The mapping survives `into_inner`, clones, and the original's drop.
+    let owned_view = mapped.into_inner();
     let cloned = owned_view.clone();
     drop(owned_view);
     assert_eq!(cloned.edge_slice(), g.edge_slice());
@@ -122,7 +142,7 @@ fn mmap_loader_handles_directed_graphs() {
 // --- rejection tests ------------------------------------------------------
 
 fn valid_image() -> Vec<u8> {
-    to_sgr_bytes(&generators::erdos_renyi(64, 256, 9))
+    image(&generators::erdos_renyi(64, 256, 9))
 }
 
 #[test]
@@ -131,24 +151,24 @@ fn rejects_bad_magic_version_flags() {
 
     let mut bad_magic = img.clone();
     bad_magic[0] ^= 0xFF;
-    assert!(load_sgr_bytes(&bad_magic).is_err(), "magic");
+    assert!(load_image(&bad_magic).is_err(), "magic");
 
     let mut bad_version = img.clone();
     bad_version[8] = 99;
-    assert!(load_sgr_bytes(&bad_version).is_err(), "version");
+    assert!(load_image(&bad_version).is_err(), "version");
 
     let mut bad_flags = img.clone();
     bad_flags[12] |= 0x80; // unknown flag bit
-    assert!(load_sgr_bytes(&bad_flags).is_err(), "flags");
+    assert!(load_image(&bad_flags).is_err(), "flags");
 }
 
 #[test]
 fn rejects_truncation_everywhere() {
     let img = valid_image();
-    assert!(load_sgr_bytes(&[]).is_err());
-    assert!(load_sgr_bytes(&img[..20]).is_err(), "inside header");
-    assert!(load_sgr_bytes(&img[..60]).is_err(), "inside table");
-    assert!(load_sgr_bytes(&img[..img.len() - 8]).is_err(), "inside last section");
+    assert!(load_image(&[]).is_err());
+    assert!(load_image(&img[..20]).is_err(), "inside header");
+    assert!(load_image(&img[..60]).is_err(), "inside table");
+    assert!(load_image(&img[..img.len() - 8]).is_err(), "inside last section");
 }
 
 #[test]
@@ -158,7 +178,7 @@ fn rejects_checksum_mismatch() {
     // the header + 4-entry table) without touching the stored checksum.
     let payload_start = format::HEADER_LEN + 4 * format::SECTION_ENTRY_LEN;
     img[payload_start] ^= 0x01;
-    let err = load_sgr_bytes(&img).expect_err("corrupt payload");
+    let err = load_image(&img).expect_err("corrupt payload");
     assert!(err.to_string().contains("checksum"), "got: {err}");
 }
 
@@ -171,19 +191,19 @@ fn rejects_misaligned_and_mislengthed_sections() {
     let off_field = format::HEADER_LEN + 8;
     let old = u64::from_le_bytes(misaligned[off_field..off_field + 8].try_into().unwrap());
     misaligned[off_field..off_field + 8].copy_from_slice(&(old + 4).to_le_bytes());
-    let err = load_sgr_bytes(&misaligned).expect_err("misaligned section");
+    let err = load_image(&misaligned).expect_err("misaligned section");
     assert!(err.to_string().contains("align"), "got: {err}");
 
     // Entry 0: wrong length for (n, m).
     let mut mislen = img.clone();
     let len_field = format::HEADER_LEN + 16;
     mislen[len_field..len_field + 8].copy_from_slice(&8u64.to_le_bytes());
-    assert!(load_sgr_bytes(&mislen).is_err(), "wrong section length");
+    assert!(load_image(&mislen).is_err(), "wrong section length");
 
     // Entry 0: id not in canonical order.
     let mut bad_id = img;
     bad_id[format::HEADER_LEN] = SectionId::Targets as u8;
-    assert!(load_sgr_bytes(&bad_id).is_err(), "section order");
+    assert!(load_image(&bad_id).is_err(), "section order");
 }
 
 #[test]
@@ -191,38 +211,55 @@ fn rejects_hostile_counts() {
     // Huge m whose section-size computation would wrap on a hostile header.
     let mut img = valid_image();
     img[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(load_sgr_bytes(&img).is_err(), "hostile m");
+    assert!(load_image(&img).is_err(), "hostile m");
 
     let mut img_n = valid_image();
     img_n[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(load_sgr_bytes(&img_n).is_err(), "hostile n");
+    assert!(load_image(&img_n).is_err(), "hostile n");
 }
 
 #[test]
 fn trusted_mode_skips_only_the_checksum_pass() {
     let g = generators::erdos_renyi(64, 256, 21);
-    let mut img = to_sgr_bytes(&g);
-    // Sanity: on an intact image, trusted and verified loads agree.
-    let trusted = load_sgr_bytes_with(&img, Verify::Trusted).expect("trusted load");
-    assert_same_graph(&g, &trusted);
+    for encoding in [Encoding::Raw, Encoding::Delta] {
+        let mut img = image_with(&g, encoding);
+        // Sanity: on an intact image, trusted and verified loads agree.
+        let trusted = load_image_with(&img, Verify::Trusted).expect("trusted load");
+        assert_same_graph(&g, &trusted);
 
-    // Corrupt the stored *digest* only — the payload is still a perfectly
-    // consistent CSR. Verified loads reject it; trusted loads (the
-    // `--no-verify` path) accept it and decode the same graph.
-    img[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
-    let err = load_sgr_bytes(&img).expect_err("checksum mode still verifies");
-    assert!(err.to_string().contains("checksum"), "got: {err}");
-    let trusted = load_sgr_bytes_with(&img, Verify::Trusted).expect("trusted ignores digest");
-    assert_same_graph(&g, &trusted);
+        // Corrupt the stored *digest* only — the payload is still a perfectly
+        // consistent CSR. Verified loads reject it; trusted loads (the
+        // `--no-verify` path) accept it and decode the same graph.
+        img[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = load_image(&img).expect_err("checksum mode still verifies");
+        assert!(err.to_string().contains("checksum"), "got: {err}");
+        let trusted = load_image_with(&img, Verify::Trusted).expect("trusted ignores digest");
+        assert_same_graph(&g, &trusted);
 
-    // Same behavior through the file and mmap loaders.
-    let path = tmp("trusted.sgr");
-    std::fs::write(&path, &img).expect("write");
-    assert!(load_sgr(&path).is_err());
-    assert!(MmapGraph::open(&path).is_err());
-    assert_same_graph(&g, &load_sgr_with(&path, Verify::Trusted).expect("trusted file load"));
-    let mapped = MmapGraph::open_with(&path, Verify::Trusted).expect("trusted mmap load");
-    assert_same_graph(&g, mapped.graph());
+        // Same behavior through the file and mmap loaders.
+        let path = tmp(&format!("trusted-{encoding:?}.sgr"));
+        std::fs::write(&path, &img).expect("write");
+        assert!(load_sgr(&path).is_err());
+        assert!(MmapGraph::open(&path).is_err());
+        assert_same_graph(&g, &load_sgr_with(&path, Verify::Trusted).expect("trusted file load"));
+        let mapped = MmapGraph::open_with(&path, Verify::Trusted).expect("trusted mmap load");
+        assert_same_graph(&g, &mapped);
+
+        // A v2 image keeps its encoded form through both sources.
+        if encoding == Encoding::Delta {
+            let err = read_sgr(&img, Verify::Checksum).expect_err("checksum mode still verifies");
+            assert!(err.to_string().contains("checksum"), "got: {err}");
+            let heap = read_sgr(&img, Verify::Trusted)
+                .and_then(Sgr::into_encoded)
+                .expect("trusted encoded load");
+            assert_same_graph(&g, &heap.to_csr());
+            let err = MmapEncoded::open(&path).expect_err("mmap checksum mode still verifies");
+            assert!(err.to_string().contains("checksum"), "got: {err}");
+            let mapped =
+                MmapEncoded::open_with(&path, Verify::Trusted).expect("trusted encoded mmap load");
+            assert_same_graph(&g, &mapped.to_csr());
+        }
+    }
 }
 
 #[test]
@@ -231,21 +268,44 @@ fn trusted_mode_still_rejects_structural_corruption() {
     // inconsistent CSR must still be rejected by from_parts, and header /
     // table damage by the toc parser.
     let g = generators::erdos_renyi(32, 100, 22);
-    let mut img = to_sgr_bytes(&g);
+    let mut img = image(&g);
     let toc = format::parse_toc(&img).expect("valid");
     let targets = toc.sections.iter().find(|s| s.id == SectionId::Targets).expect("present");
     let at = targets.off;
     img[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let err = load_sgr_bytes_with(&img, Verify::Trusted).expect_err("invalid CSR rejected");
+    let err = load_image_with(&img, Verify::Trusted).expect_err("invalid CSR rejected");
     assert!(err.to_string().contains("invalid .sgr contents"), "got: {err}");
     let path = tmp("trusted-corrupt.sgr");
     std::fs::write(&path, &img).expect("write");
     assert!(MmapGraph::open_with(&path, Verify::Trusted).is_err());
 
-    let mut bad_magic = to_sgr_bytes(&g);
+    let mut bad_magic = image(&g);
     bad_magic[0] ^= 0xFF;
-    assert!(load_sgr_bytes_with(&bad_magic, Verify::Trusted).is_err(), "magic still checked");
-    assert!(load_sgr_bytes_with(&bad_magic[..20], Verify::Trusted).is_err(), "truncation");
+    assert!(load_image_with(&bad_magic, Verify::Trusted).is_err(), "magic still checked");
+    assert!(load_image_with(&bad_magic[..20], Verify::Trusted).is_err(), "truncation");
+
+    // The same for a v2 image: a degree that disagrees with its encoded row
+    // is rejected by the encoded validator on every source and target.
+    let mut img = image_with(&g, Encoding::Delta);
+    let toc = format::parse_toc_v2(&img).expect("valid v2");
+    let degrees = toc.sections.iter().find(|s| s.id == SectionId::Degrees).expect("present");
+    let at = degrees.off;
+    img[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = load_image_with(&img, Verify::Trusted).expect_err("invalid v2 rows rejected");
+    assert!(err.to_string().contains("invalid .sgr v2 contents"), "got: {err}");
+    let err = read_sgr(&img, Verify::Trusted)
+        .and_then(Sgr::into_encoded)
+        .expect_err("invalid v2 rows rejected");
+    assert!(err.to_string().contains("invalid .sgr v2 contents"), "got: {err}");
+    let path = tmp("trusted-corrupt-v2.sgr");
+    std::fs::write(&path, &img).expect("write");
+    assert!(MmapGraph::open_with(&path, Verify::Trusted).is_err());
+    assert!(MmapEncoded::open_with(&path, Verify::Trusted).is_err());
+
+    let mut bad_magic = image_with(&g, Encoding::Delta);
+    bad_magic[0] ^= 0xFF;
+    assert!(read_sgr(&bad_magic, Verify::Trusted).is_err(), "v2 magic still checked");
+    assert!(read_sgr(&bad_magic[..20], Verify::Trusted).is_err(), "v2 truncation");
 }
 
 #[test]
@@ -254,7 +314,7 @@ fn rejects_semantically_corrupt_payload_with_valid_checksum() {
     // whose checksum verifies but whose arrays are inconsistent; the
     // CsrGraph::from_parts validation layer must reject it.
     let g = generators::erdos_renyi(32, 100, 11);
-    let mut img = to_sgr_bytes(&g);
+    let mut img = image(&g);
     let toc = format::parse_toc(&img).expect("valid");
     // Point the first target at a vertex far out of range.
     let targets = toc.sections.iter().find(|s| s.id == SectionId::Targets).expect("present");
@@ -266,7 +326,7 @@ fn rejects_semantically_corrupt_payload_with_valid_checksum() {
         h = format::checksum_update(h, &img[s.off..s.off + s.len]);
     }
     img[32..40].copy_from_slice(&h.to_le_bytes());
-    let err = load_sgr_bytes(&img).expect_err("inconsistent CSR must be rejected");
+    let err = load_image(&img).expect_err("inconsistent CSR must be rejected");
     assert!(err.to_string().contains("invalid .sgr contents"), "got: {err}");
     // The mmap loader rejects it identically.
     let path = tmp("semantic.sgr");

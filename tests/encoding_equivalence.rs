@@ -19,8 +19,7 @@ use slimgraph::graph::{
     generators, properties, CsrGraph, EdgeList, EncodedAdjacencyParts, EncodedCsr, Section,
 };
 use slimgraph::store::{
-    load_sgr, load_sgr_bytes, load_sgr_encoded, load_sgr_encoded_bytes, save_sgr_with,
-    to_sgr_bytes, to_sgr_bytes_with, Encoding, MmapEncoded,
+    load_sgr, read_sgr, save_sgr_with, write_sgr, Encoding, MmapEncoded, Sgr, Verify,
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -78,11 +77,14 @@ fn directed() -> CsrGraph {
 fn encoded_twins(g: &CsrGraph, name: &str) -> (EncodedCsr, EncodedCsr) {
     let path = tmp(name);
     save_sgr_with(g, &path, Encoding::Delta).expect("save v2");
-    let heap = load_sgr_encoded(&path).expect("heap encoded load");
+    let heap = std::fs::read(&path)
+        .and_then(|img| read_sgr(&img, Verify::Checksum))
+        .and_then(Sgr::into_encoded)
+        .expect("heap encoded load");
     let mapped = MmapEncoded::open(&path).expect("mmap encoded load");
     #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
     assert!(mapped.is_zero_copy(), "v2 mmap loader must borrow the byte sections");
-    (heap, mapped.into_encoded())
+    (heap, mapped.into_inner())
 }
 
 fn pr_bits<G: slimgraph::graph::GraphView>(g: &G) -> Vec<u64> {
@@ -247,17 +249,24 @@ fn hostile_rows_are_rejected_not_decoded() {
 #[test]
 fn container_versions_reject_cleanly_both_ways() {
     let g = unweighted();
-    let v1 = to_sgr_bytes(&g);
-    let v2 = to_sgr_bytes_with(&g, Encoding::Delta);
+    let image = |encoding| {
+        let mut buf = Vec::new();
+        write_sgr(&g, &mut buf, encoding).expect("Vec<u8> writes are infallible");
+        buf
+    };
+    let v1 = image(Encoding::Raw);
+    let v2 = image(Encoding::Delta);
+    let read_raw = |img: &[u8]| read_sgr(img, Verify::Checksum).map(Sgr::into_graph);
+    let read_encoded = |img: &[u8]| read_sgr(img, Verify::Checksum).and_then(Sgr::into_encoded);
 
     // The v2-only entry point must reject a v1 image...
-    let err = load_sgr_encoded_bytes(&v1).expect_err("v2 reader must reject v1");
+    let err = read_encoded(&v1).expect_err("v2 reader must reject v1");
     assert!(err.to_string().contains("version"), "got: {err}");
     // ...and an unknown future version must be rejected by every reader.
     let mut v3 = v2.clone();
     v3[8] = 3;
-    assert!(load_sgr_bytes(&v3).is_err(), "raw reader must reject version 3");
-    assert!(load_sgr_encoded_bytes(&v3).is_err(), "encoded reader must reject version 3");
+    assert!(read_raw(&v3).is_err(), "raw reader must reject version 3");
+    assert!(read_encoded(&v3).is_err(), "encoded reader must reject version 3");
 
     // A flipped payload byte must fail the checksum, not decode quietly.
     // Inter-section padding is under 8 bytes and always shares its aligned
@@ -268,5 +277,5 @@ fn container_versions_reject_cleanly_both_ways() {
     for b in &mut corrupt[word..word + 8] {
         *b ^= 0xff;
     }
-    assert!(load_sgr_bytes(&corrupt).is_err(), "corrupt v2 payload must fail verification");
+    assert!(read_raw(&corrupt).is_err(), "corrupt v2 payload must fail verification");
 }

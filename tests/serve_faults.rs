@@ -1,6 +1,7 @@
 //! Fault-injection suite (ISSUE 7): hostile raw-socket clients —
 //! truncated frames, oversized frames, garbage JSON, wrong-typed JSON,
-//! mid-upload disconnects, slow-loris byte-at-a-time writes — against a
+//! mid-upload disconnects, slow-loris byte-at-a-time writes, out-of-domain
+//! scheme parameters — against a
 //! live daemon. The daemon must answer stable error codes, reap the
 //! offender within its deadline, and keep serving healthy clients
 //! **bit-identically** afterward, at `SG_THREADS` ∈ {1, 4}.
@@ -201,6 +202,28 @@ fn fault_storm(threads: usize) {
         assert!(Instant::now() < deadline, "partial upload not reaped: {}", stats.render());
         std::thread::sleep(Duration::from_millis(50));
     }
+
+    // 7. Parameter values outside a scheme's domain (each would trip a
+    //    kernel assert) → stable bad-spec, answered on the same connection.
+    for bad in [
+        "uniform:p=2",
+        "uniform:p=NaN",
+        "spanner:k=0",
+        "spectral:p=-1",
+        "collapse:p=2",
+        "summary:epsilon=NaN",
+    ] {
+        let response = healthy
+            .request(
+                &Client::request_for("compress")
+                    .with("graph", Json::str("g"))
+                    .with("spec", Json::str(bad))
+                    .with("seed", Json::u64(5)),
+            )
+            .unwrap_or_else(|e| panic!("{bad} left unanswered: {e}"));
+        assert_eq!(error_code(&response), "bad-spec", "{bad}: {}", response.render());
+    }
+    ok(&healthy.request(&Client::request_for("ping")).expect("ping after bad specs"));
 
     // After the storm: the healthy client's compress is bit-identical to
     // the direct run, on the same connection that watched it all.

@@ -49,7 +49,7 @@ fn twins(g: &CsrGraph, name: &str) -> (CsrGraph, CsrGraph) {
     let mapped = MmapGraph::open(&path).expect("mmap load");
     #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
     assert!(mapped.is_zero_copy(), "mmap loader must borrow every section");
-    (heap, mapped.into_graph())
+    (heap, mapped.into_inner())
 }
 
 fn unweighted() -> CsrGraph {
